@@ -8,10 +8,9 @@
 //!   and nodes-to-target over `reps` seeds (target = one fewer late job than
 //!   greedy EDF, i.e. the first strict improvement over the warm start),
 //!   plus the per-class propagation ledger (runs / prunings / conflicts /
-//!   skipped / time / prunings-per-µs) and the cost-aware scheduler's
-//!   demotion-decision counters,
+//!   time / prunings-per-µs),
 //! * `lns` — the self-tuning ablation at the largest size: time-to-target
-//!   under every {prop_scheduling, lns} combination,
+//!   with the LNS phase on (the default) and off,
 //! * `portfolio` — median portfolio latency and speedup for K ∈ {1,2,4,8}
 //!   workers on the largest size,
 //! * `rounds` — median manager round latency warm (cross-round reuse on,
@@ -106,9 +105,8 @@ fn race(n: usize, seed: u64, params: &SolveParams) -> (u64, cpsolve::Outcome, bo
 
 /// Per-size single-threaded time-to-target / nodes-to-target distribution,
 /// plus the per-propagator-class counters summed over reps (runs / prunings
-/// / conflicts / skipped / time / prunings-per-µs) and the cost-aware
-/// scheduler's demotion decisions — the observability surface of the tiered
-/// engine. One discarded warmup rep per size keeps first-touch effects
+/// / conflicts / time / prunings-per-µs) — the observability surface of the
+/// tiered engine. One discarded warmup rep per size keeps first-touch effects
 /// (lazy page faults, cold caches) out of the quantiles.
 fn bench_sizes(sizes: &[usize], reps: u64) -> Value {
     let params = solver_params();
@@ -120,7 +118,6 @@ fn bench_sizes(sizes: &[usize], reps: u64) -> Value {
         let mut lns_iters = 0u64;
         let mut lns_improves = 0u64;
         let mut by_class = [cpsolve::PropClassStats::default(); cpsolve::N_PROP_CLASSES];
-        let mut sched = cpsolve::SchedStats::default();
         // Warmup: same fixture as rep 0, solved and discarded.
         let _ = race(n, 1, &params);
         for rep in 0..reps {
@@ -132,7 +129,6 @@ fn bench_sizes(sizes: &[usize], reps: u64) -> Value {
             }
             lns_iters += o.stats.lns_iters;
             lns_improves += o.stats.lns_improves;
-            sched.merge(&o.stats.sched);
             for (acc, c) in by_class.iter_mut().zip(o.stats.by_class.iter()) {
                 acc.merge(c);
             }
@@ -150,7 +146,6 @@ fn bench_sizes(sizes: &[usize], reps: u64) -> Value {
                             ("runs".into(), Value::UInt(s.runs)),
                             ("prunings".into(), Value::UInt(s.prunings)),
                             ("conflicts".into(), Value::UInt(s.conflicts)),
-                            ("skipped".into(), Value::UInt(s.skipped)),
                             ("time_us".into(), Value::UInt(s.time_us)),
                             ("prunings_per_us".into(), Value::Float(s.prunings_per_us())),
                         ]),
@@ -168,34 +163,19 @@ fn bench_sizes(sizes: &[usize], reps: u64) -> Value {
             ("reached_target".into(), Value::UInt(reached_target)),
             ("lns_iters".into(), Value::UInt(lns_iters)),
             ("lns_improves".into(), Value::UInt(lns_improves)),
-            (
-                "sched".into(),
-                Value::Map(vec![
-                    ("demotions".into(), Value::UInt(sched.demotions)),
-                    ("disables".into(), Value::UInt(sched.disables)),
-                    ("repromotions".into(), Value::UInt(sched.repromotions)),
-                ]),
-            ),
             ("by_class".into(), classes),
         ]));
     }
     Value::Seq(out)
 }
 
-/// The self-tuning ablation at the largest size: time-to-target under every
-/// {prop_scheduling, lns} combination over the same seeds. The default
-/// (both on) should dominate the static solver (both off).
+/// The self-tuning ablation at the largest size: time-to-target with the
+/// LNS phase on (`lns`, the default) and off (`static`) over the same
+/// seeds. The default should dominate the static solver.
 fn bench_lns(n: usize, reps: u64) -> Value {
-    let variants: [(&str, bool, bool); 4] = [
-        ("sched+lns", true, true),
-        ("sched", true, false),
-        ("lns", false, true),
-        ("static", false, false),
-    ];
     let mut rows = Vec::new();
-    for (name, sched_on, lns_on) in variants {
+    for (name, lns_on) in [("lns", true), ("static", false)] {
         let params = SolveParams {
-            prop_scheduling: sched_on,
             lns: LnsParams {
                 enabled: lns_on,
                 ..LnsParams::default()
@@ -345,14 +325,16 @@ fn main() {
     let size_reps: u64 = 15;
     let reps: u64 = if smoke { 3 } else { 15 };
     let top = *sizes.last().unwrap();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
 
     eprintln!(
         "bench_json: sizes {sizes:?}, {reps} reps{}",
         if smoke { " (smoke)" } else { "" }
     );
     let doc = Value::Map(vec![
-        ("schema".into(), Value::Str("bench_solver/v2".into())),
+        ("schema".into(), Value::Str("bench_solver/v3".into())),
         ("smoke".into(), Value::Bool(smoke)),
+        ("nproc".into(), Value::UInt(nproc)),
         ("sizes".into(), bench_sizes(sizes, size_reps)),
         ("lns".into(), bench_lns(top, reps)),
         ("portfolio".into(), bench_portfolio(top, reps)),

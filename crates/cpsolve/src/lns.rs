@@ -275,5 +275,4 @@ fn absorb(stats: &mut SolveStats, sub: &SolveStats) {
     for (acc, s) in stats.by_class.iter_mut().zip(sub.by_class.iter()) {
         acc.merge(s);
     }
-    stats.sched.merge(&sub.sched);
 }

@@ -183,7 +183,6 @@ fn merge(outcomes: Vec<Outcome>, t0: std::time::Instant) -> Outcome {
         for (acc, c) in stats.by_class.iter_mut().zip(out.stats.by_class.iter()) {
             acc.merge(c);
         }
-        stats.sched.merge(&out.stats.sched);
         stats.lns_iters += out.stats.lns_iters;
         stats.lns_improves += out.stats.lns_improves;
         any_solution |= out.best.is_some();

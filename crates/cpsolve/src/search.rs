@@ -16,9 +16,7 @@
 use crate::greedy::greedy_edf;
 use crate::lns::{self, LnsParams};
 use crate::model::{Model, ResRef, TaskRef};
-use crate::props::{
-    Engine, EngineOptions, PropClassStats, SchedStats, SchedulingOptions, N_PROP_CLASSES,
-};
+use crate::props::{Engine, PropClassStats, N_PROP_CLASSES};
 use crate::solution::Solution;
 use crate::state::{Domains, Lateness, TaskWeights};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -84,13 +82,6 @@ pub struct SolveParams {
     /// Stop as soon as the objective reaches this value (0 = stop at the
     /// first schedule with no late jobs).
     pub target: Option<u32>,
-    /// Enable the energetic overload propagator (the older O(n²·log n)
-    /// windowed check; see [`crate::props::energy`]). Off by default now
-    /// that Θ-tree edge-finding subsumes it at lower cost.
-    pub energetic: bool,
-    /// Enable Θ-tree edge-finding (overload checking, start-time lifting
-    /// and candidate filtering; see [`crate::props::edge_finding`]).
-    pub edge_finding: bool,
     /// Luby restarts: `Some(base)` restarts the dive after
     /// `base × luby(k)` conflicts, rotating the resource value ordering
     /// each time so successive dives explore different regions. `None`
@@ -106,10 +97,6 @@ pub struct SolveParams {
     /// pre-applied restart counter); portfolio workers use distinct values
     /// so their first dives diverge.
     pub value_rotation: u64,
-    /// Cost-aware propagator scheduling: demote strong-but-redundant
-    /// propagators that stop earning their keep on this instance (see
-    /// [`crate::props::SchedulingOptions`]). Never changes verdicts.
-    pub prop_scheduling: bool,
     /// Large-neighborhood-search phase over the incumbent before the
     /// unrestricted branch-and-bound (see [`crate::lns`]).
     pub lns: LnsParams,
@@ -124,13 +111,10 @@ impl Default for SolveParams {
             warm_start: true,
             initial: None,
             target: None,
-            energetic: false,
-            edge_finding: true,
             restarts: None,
             solution_guided: true,
             branching: Branching::SetTimes,
             value_rotation: 0,
-            prop_scheduling: true,
             lns: LnsParams::default(),
         }
     }
@@ -182,8 +166,6 @@ pub struct SolveStats {
     /// Per-propagator-class breakdown of runs/prunings/conflicts/time,
     /// indexed by [`crate::props::PropClass::idx`].
     pub by_class: [PropClassStats; N_PROP_CLASSES],
-    /// Cost-aware scheduling decisions (demotions/disables/re-promotions).
-    pub sched: SchedStats,
     /// LNS iterations (restricted window re-solves) performed.
     pub lns_iters: u64,
     /// LNS iterations that improved the incumbent.
@@ -425,17 +407,7 @@ fn solve_inner(
     }
 
     let mut dom = Domains::new(model);
-    let mut engine = Engine::with_options(
-        model,
-        EngineOptions {
-            energetic: params.energetic,
-            edge_finding: params.edge_finding,
-            scheduling: SchedulingOptions {
-                enabled: params.prop_scheduling,
-                ..SchedulingOptions::default()
-            },
-        },
-    );
+    let mut engine = Engine::new(model);
     if let Some(b) = &best {
         engine.set_bound(b.objective - 1);
     }
@@ -660,7 +632,6 @@ fn finalize_stats(stats: &mut SolveStats, engine: &Engine, t0: Instant) {
     for (acc, s) in stats.by_class.iter_mut().zip(ps.by_class.iter()) {
         acc.merge(s);
     }
-    stats.sched.merge(&ps.sched);
     stats.elapsed_us = t0.elapsed().as_micros() as u64;
 }
 

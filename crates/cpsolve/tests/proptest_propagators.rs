@@ -7,12 +7,11 @@
 //! placement* (validated by `Solution::verify`, which shares no code with
 //! the propagators), running the whole propagation stack from domains
 //! pinned to that placement must not report a conflict — for the timetable
-//! cumulative, the energetic check, the barrier, and the lateness logic
-//! alike.
+//! cumulative, the barrier, and the lateness logic alike.
 
 use cpsolve::greedy::{greedy_edf, greedy_topo};
 use cpsolve::model::{Model, ModelBuilder, SlotKind, TaskRef};
-use cpsolve::props::{Engine, EngineOptions};
+use cpsolve::props::Engine;
 use cpsolve::state::Domains;
 use proptest::prelude::*;
 
@@ -54,9 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Pinning domains to a greedy (feasible, verified) schedule and
-    /// propagating everything — including the energetic check and Θ-tree
-    /// edge-finding — never conflicts: no propagator is unsound on feasible
-    /// assignments.
+    /// propagating the default engine never conflicts: no propagator is
+    /// unsound on feasible assignments.
     #[test]
     fn propagation_accepts_feasible_placements(i in inst()) {
         let model = build(&i);
@@ -69,11 +67,7 @@ proptest! {
             dom.assign_res(tr, sol.resource[t]).expect("resource in domain");
             dom.fix_start(tr, sol.starts[t]).expect("start in domain");
         }
-        let mut eng = Engine::with_options(&model, EngineOptions {
-            energetic: true,
-            edge_finding: true,
-            ..EngineOptions::default()
-        });
+        let mut eng = Engine::new(&model);
         prop_assert!(eng.propagate_all(&model, &mut dom).is_ok(),
             "feasible placement rejected by propagation");
         // All lateness flags decided, consistent with the schedule.

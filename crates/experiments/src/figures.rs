@@ -211,10 +211,9 @@ fn synth_jobs(cfg: &SyntheticConfig, scale: &Scale, seed: u64, rep: u64) -> Vec<
     gen.take_jobs(scale.synth_jobs)
 }
 
-/// Copy the workload config's solver-tuning knobs onto a sim config: the
-/// TOML-level ablation switches land in [`SolveBudget`] here.
+/// Copy the workload config's solver-tuning knob onto a sim config: the
+/// TOML-level ablation switch lands in [`SolveBudget`] here.
 fn apply_solver_tuning(sim: &mut SimConfig, tuning: &SolverTuning) {
-    sim.manager.budget.prop_scheduling = tuning.prop_scheduling.0;
     sim.manager.budget.lns = tuning.lns.0;
 }
 
@@ -1231,27 +1230,18 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// The self-tuning ablation: the Table 3 default point under every
-/// {prop_scheduling, lns} combination, driven through the workload-level
-/// [`SolverTuning`] knobs exactly as a TOML config would set them. The
-/// layers must not move P or T at equal budget — they only change how fast
-/// the solver reaches the same schedules.
+/// The self-tuning ablation: the Table 3 default point with LNS on and
+/// off, driven through the workload-level [`SolverTuning`] knob exactly as
+/// a TOML config would set it. LNS must not move P or T at equal budget —
+/// it only changes how fast the solver reaches the same schedules.
 fn run_lns_panel(scale: &Scale, seed: u64) -> FigureResult {
     use workload::OnOff;
 
     let base = capped(SyntheticConfig::default(), scale);
     let mut points = Vec::new();
-    for (label, sched, lns) in [
-        ("sched+lns (default)", true, true),
-        ("sched only", true, false),
-        ("lns only", false, true),
-        ("neither (static solver)", false, false),
-    ] {
+    for (label, lns) in [("lns (default)", true), ("static solver", false)] {
         let cfg = SyntheticConfig {
-            solver: SolverTuning {
-                prop_scheduling: OnOff(sched),
-                lns: OnOff(lns),
-            },
+            solver: SolverTuning { lns: OnOff(lns) },
             ..base.clone()
         };
         let agg = replicate(scale, |rep| mrcp_synth_sample(&cfg, scale, seed, rep));
@@ -1265,7 +1255,8 @@ fn run_lns_panel(scale: &Scale, seed: u64) -> FigureResult {
     FigureResult {
         name: "lns".into(),
         title: "Solver self-tuning ablation at the Table 3 default point".into(),
-        expectation: "P and T tie across all four settings; the layers trade search effort, not schedule quality".into(),
+        expectation:
+            "P and T tie with LNS on and off; LNS trades search effort, not schedule quality".into(),
         points,
     }
 }

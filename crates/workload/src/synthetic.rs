@@ -136,21 +136,17 @@ pub struct SyntheticConfig {
     /// [`cell_size`](Self::cell_size) resources.
     #[serde(default)]
     pub cells: CellCount,
-    /// Solver self-tuning layers (cost-aware propagator scheduling and the
-    /// LNS repair rung). Both default to on; configs written before the
-    /// knobs existed deserialize to the defaults.
+    /// Solver self-tuning layer (the LNS repair rung). It defaults to on;
+    /// configs written before the knob existed deserialize to the default,
+    /// and configs naming since-removed knobs still load.
     #[serde(default)]
     pub solver: SolverTuning,
 }
 
-/// On/off switches for the solver's self-tuning layers, TOML-addressable so
+/// On/off switch for the solver's self-tuning layer, TOML-addressable so
 /// experiment configs can run ablations without code changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SolverTuning {
-    /// Cost-aware propagator scheduling: demote strong filters whose
-    /// measured pruning yield stops paying for their cost.
-    #[serde(default)]
-    pub prop_scheduling: OnOff,
     /// The LNS repair rung and in-solve LNS phase.
     #[serde(default)]
     pub lns: OnOff,
@@ -756,8 +752,8 @@ mod tests {
 
     #[test]
     fn solver_tuning_defaults_on_and_round_trips() {
-        // Configs written before the solver knobs existed (no `solver` key
-        // at all) deserialize with both layers ON — absence means "use the
+        // Configs written before the solver knob existed (no `solver` key
+        // at all) deserialize with LNS ON — absence means "use the
         // self-tuning solver", not "disable it".
         let cfg = SyntheticConfig::default();
         let mut tree = serde::Serialize::serialize_value(&cfg);
@@ -768,19 +764,35 @@ mod tests {
         let legacy = serde_json::to_string(&tree).unwrap();
         assert!(!legacy.contains("solver"), "failed to strip solver key");
         let back: SyntheticConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.solver.prop_scheduling, OnOff(true));
         assert_eq!(back.solver.lns, OnOff(true));
         // Explicit ablation settings survive a round trip.
         let ablated = SyntheticConfig {
-            solver: SolverTuning {
-                prop_scheduling: OnOff(false),
-                lns: OnOff(true),
-            },
+            solver: SolverTuning { lns: OnOff(false) },
             ..Default::default()
         };
         let json = serde_json::to_string(&ablated).unwrap();
         let back: SyntheticConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.solver, ablated.solver);
+        // Configs that still name the removed propagator-scheduling knob
+        // load: the unknown key is ignored and `lns` is kept.
+        for lns in [true, false] {
+            let mut tree = serde::Serialize::serialize_value(&SyntheticConfig::default());
+            let serde::Value::Map(entries) = &mut tree else {
+                panic!("config serializes to a map");
+            };
+            for (k, v) in entries.iter_mut() {
+                if k == "solver" {
+                    *v = serde::Value::Map(vec![
+                        ("prop_scheduling".into(), serde::Value::Bool(false)),
+                        ("lns".into(), serde::Value::Bool(lns)),
+                    ]);
+                }
+            }
+            let legacy = serde_json::to_string(&tree).unwrap();
+            assert!(legacy.contains("\"prop_scheduling\":false"), "{legacy}");
+            let back: SyntheticConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back.solver.lns, OnOff(lns));
+        }
     }
 
     #[test]
